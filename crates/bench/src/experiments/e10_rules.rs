@@ -22,14 +22,13 @@ use crate::report::Table;
 use simba_core::address::{Address, AddressBook, CommType};
 use simba_core::alert::{IncomingAlert, Urgency};
 use simba_core::classify::{Classifier, KeywordField};
-use simba_core::mab::MabStats;
 use simba_core::mode::DeliveryMode;
 use simba_core::rejuvenate::RejuvenationPolicy;
 use simba_core::subscription::{SubscriptionRegistry, UserId};
 use simba_core::MabConfig;
 use simba_rules::{Decision, DigestConfig, RuleEngine, RuleSpec, RulesConfig};
 use simba_runtime::{
-    HostConfig, HostNotice, LoopbackChannels, MabHost, RuntimeNotice, SharedChannels,
+    HostNotice, LoopbackChannels, RuntimeNotice, SharedChannels, ShardedHost, ShardedHostConfig,
 };
 use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::{RingBufferSink, Telemetry};
@@ -210,18 +209,25 @@ async fn storm(opts: E10Options) -> StormRaw {
         .expect("digest rule");
 
     let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(10)));
-    let host_config = HostConfig {
-        wal_dir: None,
+    let host_config = ShardedHostConfig {
+        shards: 1,
+        hibernate_after: SimDuration::ZERO,
         retirement_grace: SimDuration::ZERO,
         completed_ring: 8,
         notice_capacity: (opts.normals + 8).max(simba_runtime::DEFAULT_NOTICE_CAPACITY),
+        rules: Some(engine.clone()),
+        ..ShardedHostConfig::default()
     };
-    let (host, mut notices) = MabHost::new(shared.clone(), host_config);
-    let mut host = host.with_rules(engine.clone());
+    let (host, mut notices) = ShardedHost::new(
+        shared.clone(),
+        host_config,
+        std::sync::Arc::new(|user: &UserId| storm_user_config(&user.0)),
+        Telemetry::disabled(),
+    )
+    .expect("in-memory shard log");
     let storm_user = UserId::new("storm");
     let steady_user = UserId::new("steady");
-    host.add_user(storm_user.clone(), storm_user_config("storm")).expect("storm user");
-    host.add_user(steady_user.clone(), storm_user_config("steady")).expect("steady user");
+    host.register_many(vec![storm_user.clone(), steady_user.clone()]).await;
 
     // Interleave: every (storm_alarms / normals)-th alarm is followed by
     // one non-storm alert; the lone critical alarm lands mid-storm.
@@ -234,11 +240,11 @@ async fn storm(opts: E10Options) -> StormRaw {
             alarm.urgency = Urgency::Critical;
             alarm.body = "Sensor CRIT meltdown".to_string();
         }
-        assert!(host.submit_im(&storm_user, alarm).await, "storm user is hosted");
+        assert!(host.submit_im(&storm_user, alarm).await, "storm user's shard is up");
         if i.is_multiple_of(stride) && normals_sent < opts.normals as u64 {
             let steady =
                 IncomingAlert::from_im("steady-gw", format!("Sensor steady {i}"), SimTime::ZERO);
-            assert!(host.submit_im(&steady_user, steady).await, "steady user is hosted");
+            assert!(host.submit_im(&steady_user, steady).await, "steady user's shard is up");
             normals_sent += 1;
         }
     }
@@ -246,11 +252,14 @@ async fn storm(opts: E10Options) -> StormRaw {
 
     // Everything except the digest finishes now: the normals plus the
     // critical cut-through. The flap storm is parked in one window.
+    // Finished deliveries are counted per user off the notice stream.
     let before_flush = normals_sent + 1;
+    let mut finished_by_user = std::collections::HashMap::<String, u64>::new();
     let mut finished = 0u64;
     while finished < before_flush {
         match notices.recv().await {
-            Some(HostNotice { notice: RuntimeNotice::DeliveryFinished { .. }, .. }) => {
+            Some(HostNotice { user, notice: RuntimeNotice::DeliveryFinished { .. } }) => {
+                *finished_by_user.entry(user.0).or_default() += 1;
                 finished += 1;
             }
             Some(_) => {}
@@ -266,7 +275,8 @@ async fn storm(opts: E10Options) -> StormRaw {
     let mut digest_finished = 0u64;
     while digest_finished < digest_deliveries {
         match notices.recv().await {
-            Some(HostNotice { notice: RuntimeNotice::DeliveryFinished { .. }, .. }) => {
+            Some(HostNotice { user, notice: RuntimeNotice::DeliveryFinished { .. } }) => {
+                *finished_by_user.entry(user.0).or_default() += 1;
                 digest_finished += 1;
             }
             Some(_) => {}
@@ -275,15 +285,9 @@ async fn storm(opts: E10Options) -> StormRaw {
     }
     assert_eq!(engine.pending_digests(), 0, "flush left the window behind");
 
-    let per_user = host.shutdown().await;
-    let mut merged = MabStats::default();
-    let mut per_name = std::collections::HashMap::new();
-    for (user, stats) in &per_user {
-        merged.merge(*stats);
-        per_name.insert(user.0.clone(), *stats);
-    }
-    let storm_stats = per_name.get("storm").copied().unwrap_or_default();
-    let steady_stats = per_name.get("steady").copied().unwrap_or_default();
+    let merged = host.shutdown().await.stats;
+    let storm_finished = finished_by_user.get("storm").copied().unwrap_or_default();
+    let steady_finished = finished_by_user.get("steady").copied().unwrap_or_default();
 
     // Exactly-once accounting straight off the channel transcript: the
     // storm user hears twice (critical + digest), the steady user once
@@ -309,15 +313,15 @@ async fn storm(opts: E10Options) -> StormRaw {
         "every non-critical alarm is absorbed"
     );
     assert_eq!(merged.deliveries_started, normals_sent + 2, "normals + critical + digest");
-    assert_eq!(steady_stats.deliveries_started, normals_sent, "no non-storm alert lost");
+    assert_eq!(steady_finished, normals_sent, "no non-storm alert lost");
     assert_eq!(steady_sends, normals_sent, "no non-storm alert double-delivered");
-    assert_eq!(storm_stats.deliveries_started, 2, "storm user hears exactly twice");
+    assert_eq!(storm_finished, 2, "storm user hears exactly twice");
 
     StormRaw {
         absorbed: metrics.counter("rules.digest_absorbed"),
         digest_deliveries,
         critical_bypass: metrics.counter("rules.critical_bypass"),
-        normals_delivered: steady_stats.deliveries_started,
+        normals_delivered: steady_finished,
         storm_user_sends: storm_sends.len() as u64,
     }
 }

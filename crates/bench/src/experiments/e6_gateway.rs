@@ -5,10 +5,12 @@
 //! must be refused explicitly rather than by stalling (§3, §4.2). This
 //! harness drives the `simba-gateway` TCP server with a multi-connection
 //! loadgen — injected connection drops, an optional slow-loris client —
-//! into a live 50-user [`MabHost`], and checks the ledger balances:
+//! into a live 50-user one-shard [`ShardedHost`], and checks the ledger
+//! balances:
 //!
 //! * **zero accepted-then-lost**: every client-side `Ack` shows up as a
-//!   pump-routed submission and a started delivery;
+//!   submission the pump handed to a shard, and each of those either
+//!   started a delivery or is counted unrouted (unregistered user);
 //! * **no silent drops**: `sent == accepted + rejected`, and every
 //!   rejection is accounted under `gateway.shed` / `gateway.unknown_user`
 //!   / `gateway.decode_err`;
@@ -28,10 +30,10 @@ use simba_core::subscription::{SubscriptionRegistry, UserId};
 use simba_core::MabConfig;
 use simba_gateway::proto::WireChannel;
 use simba_gateway::{
-    intake, pump_into_host, ClientConfig, GatewayClient, GatewayConfig, GatewayServer, RateLimit,
-    SubmitResult,
+    intake, pump_into_sharded_host, ClientConfig, GatewayClient, GatewayConfig, GatewayServer,
+    RateLimit, SubmitResult,
 };
-use simba_runtime::{HostConfig, LoopbackChannels, MabHost, SharedChannels};
+use simba_runtime::{LoopbackChannels, SharedChannels, ShardedHost, ShardedHostConfig};
 use simba_sim::SimDuration;
 use simba_telemetry::{RingBufferSink, Telemetry};
 use std::sync::Arc;
@@ -100,9 +102,12 @@ pub struct GatewayNumbers {
     pub rejected_unknown: u64,
     /// Client reconnections performed (injected drops).
     pub reconnects: u64,
-    /// Submissions the pump handed to a hosted user's service.
+    /// Submissions the pump handed onto a shard's queue.
     pub routed: u64,
-    /// Deliveries the host fleet actually started.
+    /// Of those, submissions whose user was not registered
+    /// ([`simba_runtime::ShardedSnapshot::unrouted`]).
+    pub unrouted: u64,
+    /// Deliveries the host actually started.
     pub deliveries_started: u64,
     /// `gateway.shed` as the server counted it.
     pub counter_shed: u64,
@@ -227,16 +232,29 @@ pub fn measure(opts: GatewayBenchOptions) -> GatewayNumbers {
     });
 
     let pump_telemetry = telemetry.clone();
-    let (report, per_user) = tokio::runtime::block_on(async move {
+    let (report, snap) = tokio::runtime::block_on(async move {
         let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
-        let (host, _notices) = MabHost::new(shared, HostConfig::default());
-        let mut host = host.with_telemetry(pump_telemetry.clone());
-        for name in &names {
-            host.add_user(UserId::new(name.clone()), user_config(name)).expect("fresh user");
-        }
-        let report = pump_into_host(&host, intake_rx, &pump_telemetry).await;
-        let per_user = host.shutdown().await;
-        (report, per_user)
+        let shape = ShardedHostConfig {
+            shards: 1,
+            hibernate_after: SimDuration::ZERO,
+            // 256 queued alerts per user, the inbound buffering a
+            // task-per-user host gives: under overload, accepted/s
+            // measures how much the host can absorb, so the shard queue
+            // is sized to the same depth.
+            queue_capacity: 256 * opts.users,
+            ..ShardedHostConfig::default()
+        };
+        let (host, _notices) = ShardedHost::new(
+            shared,
+            shape,
+            Arc::new(|user: &UserId| user_config(&user.0)),
+            pump_telemetry.clone(),
+        )
+        .expect("in-memory shard log");
+        host.register_many(names.iter().map(|name| UserId::new(name.clone())).collect()).await;
+        let report = pump_into_sharded_host(&host, intake_rx, &pump_telemetry).await;
+        let snap = host.shutdown().await;
+        (report, snap)
     });
     let (ledgers, wall_secs) = supervisor.join().unwrap();
 
@@ -248,8 +266,7 @@ pub fn measure(opts: GatewayBenchOptions) -> GatewayNumbers {
         totals.rejected_unknown += l.rejected_unknown;
         totals.reconnects += l.reconnects;
     }
-    let deliveries_started: u64 = per_user.iter().map(|(_, s)| s.deliveries_started).sum();
-    let snap = telemetry.metrics().snapshot();
+    let metrics = telemetry.metrics().snapshot();
 
     let numbers = GatewayNumbers {
         sent: totals.sent,
@@ -258,10 +275,11 @@ pub fn measure(opts: GatewayBenchOptions) -> GatewayNumbers {
         rejected_unknown: totals.rejected_unknown,
         reconnects: totals.reconnects,
         routed: report.routed,
-        deliveries_started,
-        counter_shed: snap.counter("gateway.shed"),
-        counter_decode_err: snap.counter("gateway.decode_err"),
-        counter_idle_closed: snap.counter("gateway.idle_closed"),
+        unrouted: snap.unrouted,
+        deliveries_started: snap.stats.deliveries_started,
+        counter_shed: metrics.counter("gateway.shed"),
+        counter_decode_err: metrics.counter("gateway.decode_err"),
+        counter_idle_closed: metrics.counter("gateway.idle_closed"),
         wall_secs,
         throughput: if wall_secs > 0.0 { totals.accepted as f64 / wall_secs } else { 0.0 },
     };
@@ -275,16 +293,18 @@ pub fn measure(opts: GatewayBenchOptions) -> GatewayNumbers {
     );
     assert_eq!(
         numbers.accepted, numbers.routed,
-        "zero accepted-then-lost: every ack was routed into the host"
+        "zero accepted-then-lost: every ack was handed to a shard"
     );
-    assert_eq!(report.unrouted, 0, "the known-user gate admits only hosted users");
+    assert_eq!(report.unrouted, 0, "every shard worker stayed up");
+    assert_eq!(numbers.unrouted, 0, "the known-user gate admits only registered users");
     assert_eq!(
-        numbers.routed, numbers.deliveries_started,
-        "every routed alert started a delivery"
+        numbers.routed,
+        numbers.deliveries_started + numbers.unrouted,
+        "every routed alert started a delivery or was counted unrouted"
     );
     assert_eq!(
         numbers.accepted,
-        snap.counter("gateway.accepted"),
+        metrics.counter("gateway.accepted"),
         "client-side ack count matches the server's counter"
     );
     assert_eq!(
@@ -293,7 +313,7 @@ pub fn measure(opts: GatewayBenchOptions) -> GatewayNumbers {
     );
     assert_eq!(
         numbers.rejected_unknown,
-        snap.counter("gateway.unknown_user"),
+        metrics.counter("gateway.unknown_user"),
         "every unknown-user nack is accounted"
     );
     if opts.slow_loris {
@@ -332,7 +352,7 @@ pub fn run_with(opts: GatewayBenchOptions, mode: BenchMode) -> ExperimentOutput 
     };
     bench.floor("throughput", floor, n.throughput);
     // The dependability floor: nothing accepted may vanish before the
-    // host fleet (asserted exactly inside `measure`).
+    // host (asserted exactly inside `measure`).
     bench.floor("accepted_all_routed", 0.0, (n.routed as f64) - (n.accepted as f64));
     bench.write();
     assert!(
@@ -368,7 +388,7 @@ pub fn run_with(opts: GatewayBenchOptions, mode: BenchMode) -> ExperimentOutput 
     ]);
 
     let mut perf = Table::new(
-        "E6: localhost TCP throughput into a live host fleet",
+        "E6: localhost TCP throughput into a live host",
         &["accepted", "wall seconds", "accepted/s", "idle closed", "decode errors"],
     );
     perf.row(&[
@@ -417,7 +437,7 @@ pub fn run_with(opts: GatewayBenchOptions, mode: BenchMode) -> ExperimentOutput 
                 n.accepted, n.reconnects
             ),
             format!(
-                "{:.0} accepted alerts/s over localhost TCP into a {}-user MabHost",
+                "{:.0} accepted alerts/s over localhost TCP into a {}-user one-shard host",
                 n.throughput, opts.users
             ),
             "every rejection is a counted, explicit nack: sent == accepted + gateway.shed \

@@ -19,11 +19,12 @@
 //! * let the idle sweep park the whole active set and assert memory
 //!   tracks *activations*, not registrations.
 //!
-//! Wall-clock throughput is compared against E3H's task-per-user soak.
-//! On multi-core hardware the share-nothing shards are the scale-out
-//! lever (each worker owns its roster, wheel, and log; nothing is
-//! shared), but this repository's reference environment is a single
-//! core, where E3H's ~65 k alerts/s already saturates the CPU with the
+//! Wall-clock throughput is compared against the ~65 k alerts/s E3H
+//! recorded when it still drove one task per user. On multi-core
+//! hardware the share-nothing shards are the scale-out lever (each
+//! worker owns its roster, wheel, and log; nothing is shared), but this
+//! repository's reference environment is a single core, where that
+//! ~65 k alerts/s already saturated the CPU with the
 //! same §4.2.1 pipeline — so E8's honest single-core payoff is *memory
 //! bounded by active users* and *~500 log writes per fsync-equivalent
 //! commit*, at roughly E3H parity throughput. The asserted floor is a
@@ -473,7 +474,7 @@ pub fn run_with(opts: E8Options, mode: BenchMode) -> ExperimentOutput {
         notes: vec![
             format!(
                 "{} alerts across {} active of {} registered users at {:.0} alerts/s \
-                 ({:.1}× E3H's recorded 65 k/s task-per-user soak, on one core; \
+                 ({:.1}× the 65 k/s E3H recorded with one task per user, on one core; \
                  shards are share-nothing, so cores scale the multiplier)",
                 numbers.total_alerts,
                 numbers.active,

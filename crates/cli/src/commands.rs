@@ -587,7 +587,7 @@ fn host_sharded(args: &[String]) -> Outcome {
 }
 
 /// `host [--sharded] [--users N] [--alerts M] [--ring R] [--seed S]` —
-/// run the multi-user MabHost soak interactively and report the outcome
+/// run the multi-user host soak interactively and report the outcome
 /// mix, bounded-state peaks/floors, and wall-clock throughput. With
 /// `--sharded`, run the sharded/hibernating host instead (see
 /// [`host_sharded`] for its flags).
@@ -691,8 +691,11 @@ fn gateway_user_config(name: &str, source: &str) -> simba_core::MabConfig {
 /// [--queue Q] [--rate R] [--source S]` — host N users behind a live TCP
 /// gateway for D milliseconds, then drain and report.
 fn gateway_serve(args: &[String]) -> Outcome {
-    use simba_gateway::{intake, pump_into_host, GatewayConfig, GatewayServer, RateLimit};
-    use simba_runtime::{HostConfig, LoopbackChannels, MabHost, SharedChannels};
+    use simba_core::subscription::UserId;
+    use simba_gateway::{intake, pump_into_sharded_host, GatewayConfig, GatewayServer, RateLimit};
+    use simba_runtime::{
+        spawn_sweeper, LoopbackChannels, SharedChannels, ShardedHost, ShardedHostConfig,
+    };
     use simba_telemetry::{RingBufferSink, Telemetry};
     use std::sync::Arc;
     use std::time::Duration;
@@ -784,22 +787,27 @@ fn gateway_serve(args: &[String]) -> Outcome {
     let source_for_host = source.clone();
     let report = tokio::runtime::block_on(async move {
         let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
-        let (host, _notices) = MabHost::new(shared, HostConfig::default());
-        let mut host = host
-            .with_telemetry(pump_telemetry.clone())
-            .with_store(store, simba_sim::SimDuration::from_secs(1));
-        for name in &names {
-            host.add_user(
-                simba_core::subscription::UserId::new(name.clone()),
-                gateway_user_config(name, &source_for_host),
-            )
-            .expect("fresh user");
-        }
-        let report = pump_into_host(&host, intake_rx, &pump_telemetry).await;
+        let shape = ShardedHostConfig {
+            shards: 1,
+            hibernate_after: simba_sim::SimDuration::ZERO,
+            store: Some(store.clone()),
+            ..ShardedHostConfig::default()
+        };
+        let factory: simba_runtime::ConfigFactory =
+            Arc::new(move |user: &UserId| gateway_user_config(&user.0, &source_for_host));
+        let (host, _notices) = ShardedHost::new(shared, shape, factory, pump_telemetry.clone())?;
+        let sweeper = spawn_sweeper(store, host.clock(), simba_sim::SimDuration::from_secs(1));
+        host.register_many(names.iter().map(|name| UserId::new(name.clone())).collect()).await;
+        let report = pump_into_sharded_host(&host, intake_rx, &pump_telemetry).await;
         host.shutdown().await;
-        report
+        sweeper.abort();
+        Ok::<_, simba_core::wal::WalError>(report)
     });
     let _ = supervisor.join();
+    let report = match report {
+        Ok(report) => report,
+        Err(e) => return Outcome::error(format!("cannot start host: {e}\n")),
+    };
 
     let snap = telemetry.metrics().snapshot();
     let mut out = String::new();
@@ -824,7 +832,11 @@ fn gateway_serve(args: &[String]) -> Outcome {
         snap.counter("host.routed"),
         snap.counter("host.unrouted")
     );
-    let _ = writeln!(out, "pump: {} routed, {} unrouted", report.routed, report.unrouted);
+    let _ = writeln!(
+        out,
+        "pump: {} handed to a shard, {} refused (shard gone)",
+        report.routed, report.unrouted
+    );
     Outcome::ok(out)
 }
 

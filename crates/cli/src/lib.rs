@@ -10,13 +10,13 @@
 //!   a torn tail, as a restarting MyAlertBuddy would);
 //! * `demo pipeline|faultlog` — run the simulated deployment and print the
 //!   summary tables;
-//! * `host` — soak a multi-user `MabHost` fleet with mixed
+//! * `host` — soak a multi-user one-shard `ShardedHost` with mixed
 //!   ack/timeout/failure outcomes and report the outcome mix,
 //!   bounded-state peaks, routing totals, and throughput; with
-//!   `--sharded`, run the sharded/hibernating host and report roster vs
-//!   live-buddy bounds and group-commit amortization instead;
+//!   `--sharded`, run the multi-shard hibernating shape and report roster
+//!   vs live-buddy bounds and group-commit amortization instead;
 //! * `gateway serve|send|probe` — run the framed-TCP ingestion gateway
-//!   in front of a live host fleet, submit alerts to one, or check its
+//!   in front of a live host, submit alerts to one, or check its
 //!   health counters;
 //! * `store put|get|watch` — publish, read, or poll soft-state facts
 //!   (presence, channel health) through a serving gateway's state

@@ -163,9 +163,14 @@ impl ShardLog {
                 valid_len += line.len();
                 continue;
             }
+            if !complete {
+                // Torn tail: even a record that parses must not touch
+                // in-memory state — it is about to be truncated from
+                // disk, and memory must equal durable state.
+                break;
+            }
             match self.replay_line(trimmed, lineno + 1) {
-                Ok(()) if complete => valid_len += line.len(),
-                Ok(()) => break, // parses but unterminated: torn tail
+                Ok(()) => valid_len += line.len(),
                 Err(e) if is_last && tolerate_tail => {
                     let _ = e;
                     break;
@@ -691,6 +696,35 @@ mod tests {
         assert_eq!(log.unprocessed_len(), 1);
         assert!(log.has_unprocessed_for(&user("alice")));
         assert!(!log.has_unprocessed_for(&user("bob")));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_mark_is_not_applied_before_truncation() {
+        // Thirteen committed records (ids 0..=12), then a crash tears the
+        // mark `P\t12\n` down to `P\t1`: the torn line still parses, as a
+        // mark for a *different* record. Memory after the first reopen
+        // must equal what a second reopen reads back from disk.
+        let dir = temp_dir("torn-mark");
+        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        for i in 0..13u64 {
+            log.append(&user("alice"), &alert("keep", i), t(i)).unwrap();
+        }
+        log.commit().unwrap();
+        drop(log);
+        {
+            let mut f = OpenOptions::new().append(true).open(segment_path(&dir, 0)).unwrap();
+            f.write_all(b"P\t1").unwrap();
+        }
+        let ids = |log: &ShardLog| -> Vec<u64> {
+            log.unprocessed_for(&user("alice")).iter().map(|r| r.id).collect()
+        };
+        let first = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        let in_memory = ids(&first);
+        drop(first);
+        let second = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        assert_eq!(in_memory, ids(&second), "memory after replay equals durable state");
+        assert_eq!(in_memory, (0..13).collect::<Vec<u64>>(), "no record retired by a torn mark");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,14 +10,16 @@
 //! +--------+---------+------+---------------+-----------+=============+
 //! ```
 //!
-//! The CRC-32 (IEEE) covers the payload bytes only, so a flipped bit in
-//! the body is caught even when the length happens to stay plausible.
+//! The CRC-32 (IEEE, [`simba_core::snapshot::crc32`]) covers the payload
+//! bytes only, so a flipped bit in the body is caught even when the
+//! length happens to stay plausible.
 //! Integers are little-endian; strings are a `u16` length followed by
 //! UTF-8 bytes. The magic makes a client that dials the wrong port fail
 //! fast, the version byte leaves room to evolve the frame set, and the
 //! length prefix bounds how much a decoder ever buffers (the server caps
 //! it further via [`crate::GatewayConfig::max_payload`]).
 
+use simba_core::snapshot::crc32;
 use std::fmt;
 
 /// First four bytes of every frame.
@@ -29,39 +31,12 @@ pub const HEADER_LEN: usize = 14;
 /// Default cap on payload size (64 KiB) — protects the decoder's buffer.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 64 * 1024;
 
-const CRC_TABLE: [u32; 256] = crc32_table();
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// CRC-32 (IEEE 802.3) over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = CRC_TABLE[((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
 /// Which delivery front door the alert claims to have arrived by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireChannel {
-    /// Instant-messaging borne (routes to `MabHost::submit_im`).
+    /// Instant-messaging borne (routes to `ShardedHost::submit_im`).
     Im,
-    /// Email borne (routes to `MabHost::submit_email`).
+    /// Email borne (routes to `ShardedHost::submit_email`).
     Email,
 }
 

@@ -1,18 +1,18 @@
 //! End-to-end gateway tests over real localhost TCP.
 //!
-//! The server runs on std threads; where a `MabHost` is involved the main
-//! test thread drives the tokio-shim runtime (unpaused, real time) with
-//! [`simba_gateway::pump_into_host`], exactly the shape the CLI and the
-//! E6 bench use.
+//! The server runs on std threads; where a `ShardedHost` is involved the
+//! main test thread drives the tokio-shim runtime (unpaused, real time)
+//! with [`simba_gateway::pump_into_sharded_host`], exactly the shape the
+//! CLI and the E6 bench use.
 
 use simba_core::subscription::UserId;
 use simba_core::Telemetry;
 use simba_gateway::proto::{self, Frame, NackReason, WireChannel, WireRule};
 use simba_gateway::{
-    intake, pump_into_host, ClientConfig, ClientError, GatewayClient, GatewayConfig,
+    intake, pump_into_sharded_host, ClientConfig, ClientError, GatewayClient, GatewayConfig,
     GatewayServer, RateLimit, SubmitResult,
 };
-use simba_runtime::{HostConfig, LoopbackChannels, MabHost, SharedChannels};
+use simba_runtime::{LoopbackChannels, SharedChannels, ShardedHost, ShardedHostConfig};
 use simba_telemetry::RingBufferSink;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -51,7 +51,7 @@ fn user_config(name: &str) -> simba_core::MabConfig {
 }
 
 /// Two client threads submit through the gateway into a live two-user
-/// host; every accepted alert must come out routed.
+/// one-shard host; every accepted alert must come out routed.
 #[test]
 fn submissions_flow_through_tcp_into_the_host() {
     let telemetry = telemetry();
@@ -88,39 +88,41 @@ fn submissions_flow_through_tcp_into_the_host() {
     });
 
     let host_telemetry = telemetry.clone();
-    let (report, stats) = tokio::runtime::block_on(async move {
+    let (report, snap) = tokio::runtime::block_on(async move {
         let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
-        let (host, _notices) = MabHost::new(shared, HostConfig::default());
-        let mut host = host.with_telemetry(host_telemetry.clone());
-        for name in ["alice", "bob"] {
-            host.add_user(UserId::new(name), user_config(name)).unwrap();
-        }
-        let report = pump_into_host(&host, intake_rx, &host_telemetry).await;
-        let stats = host.shutdown().await;
-        (report, stats)
+        let config = ShardedHostConfig {
+            shards: 1,
+            hibernate_after: simba_sim::SimDuration::ZERO,
+            ..ShardedHostConfig::default()
+        };
+        let factory: simba_runtime::ConfigFactory =
+            Arc::new(|user: &UserId| user_config(&user.0));
+        let (host, _notices) =
+            ShardedHost::new(shared, config, factory, host_telemetry.clone()).unwrap();
+        host.register_many(["alice", "bob"].into_iter().map(UserId::new).collect()).await;
+        let report = pump_into_sharded_host(&host, intake_rx, &host_telemetry).await;
+        let snap = host.shutdown().await;
+        (report, snap)
     });
 
     let sent = supervisor.join().unwrap();
     assert_eq!(sent, 100);
     assert_eq!(report.routed, 100);
     assert_eq!(report.unrouted, 0);
-    let snap = telemetry.metrics().snapshot();
-    assert_eq!(snap.counter("gateway.accepted"), 100);
-    assert_eq!(snap.counter("gateway.shed"), 0);
-    assert_eq!(snap.counter("gateway.decode_err"), 0);
-    assert_eq!(snap.counter("host.routed"), 100);
-    let started: u64 = stats.iter().map(|(_, s)| s.deliveries_started).sum();
-    assert_eq!(started, 100, "every accepted alert started a delivery");
+    let metrics = telemetry.metrics().snapshot();
+    assert_eq!(metrics.counter("gateway.accepted"), 100);
+    assert_eq!(metrics.counter("gateway.shed"), 0);
+    assert_eq!(metrics.counter("gateway.decode_err"), 0);
+    assert_eq!(metrics.counter("host.routed"), 100);
+    assert_eq!(snap.unrouted, 0, "both users were registered");
+    assert_eq!(snap.stats.deliveries_started, 100, "every accepted alert started a delivery");
 }
 
-/// The same TCP path drained into the population-scale [`ShardedHost`]
-/// via [`pump_into_sharded_host`]: every accepted submission reaches the
-/// owning shard worker and starts a delivery.
+/// The same TCP path drained into a two-shard [`ShardedHost`]: every
+/// accepted submission reaches the owning shard worker and starts a
+/// delivery.
 #[test]
 fn submissions_flow_through_tcp_into_the_sharded_host() {
-    use simba_gateway::pump_into_sharded_host;
-    use simba_runtime::{ShardedHost, ShardedHostConfig};
-
     let telemetry = telemetry();
     let (intake_tx, intake_rx) = intake(256);
     let server =

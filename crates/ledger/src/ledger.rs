@@ -849,35 +849,38 @@ impl DeliveryLedger {
                 valid_len += line.len();
                 continue;
             }
+            if !complete {
+                // Torn tail: even a record that parses must not touch
+                // in-memory state — it is about to be truncated from
+                // disk, and memory must equal durable state.
+                break;
+            }
             if in_prefix {
                 if trimmed.starts_with("R\t") {
                     rotation_prefix.push_str(line);
                 } else if let Some(stored) = trimmed.strip_prefix("K\t") {
                     in_prefix = false;
-                    if complete {
-                        // The trailer covers exactly the `R` lines the
-                        // rotation wrote before it.
-                        let covered = std::mem::take(&mut rotation_prefix);
-                        let computed = crc32(covered.as_bytes());
-                        let stored_crc = u32::from_str_radix(stored, 16).unwrap_or(!computed);
-                        if stored_crc != computed {
-                            return Err(LedgerError::Corrupt {
-                                line: lineno + 1,
-                                reason: format!(
-                                    "rotation checksum mismatch: stored {stored_crc:08x}, computed {computed:08x}"
-                                ),
-                            });
-                        }
-                        valid_len += line.len();
-                        continue;
+                    // The trailer covers exactly the `R` lines the
+                    // rotation wrote before it.
+                    let covered = std::mem::take(&mut rotation_prefix);
+                    let computed = crc32(covered.as_bytes());
+                    let stored_crc = u32::from_str_radix(stored, 16).unwrap_or(!computed);
+                    if stored_crc != computed {
+                        return Err(LedgerError::Corrupt {
+                            line: lineno + 1,
+                            reason: format!(
+                                "rotation checksum mismatch: stored {stored_crc:08x}, computed {computed:08x}"
+                            ),
+                        });
                     }
+                    valid_len += line.len();
+                    continue;
                 } else {
                     in_prefix = false;
                 }
             }
             match self.replay_line(trimmed, lineno + 1) {
-                Ok(()) if complete => valid_len += line.len(),
-                Ok(()) => break, // parses but unterminated: torn tail
+                Ok(()) => valid_len += line.len(),
                 Err(e) if is_last && tolerate_tail => {
                     let _ = e;
                     break;
@@ -1485,6 +1488,38 @@ mod tests {
                 other => panic!("expected checksum corruption, got {other:?}"),
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_sent_record_is_not_applied_before_truncation() {
+        // Thirteen committed deliveries, then a crash tears `S\t12\n`
+        // down to `S\t1`: the torn line still parses, as a send record for
+        // a *different* delivery. Memory after the first reopen must equal
+        // what a second reopen reads back from disk.
+        let dir = temp_dir("torn-sent");
+        let config = LedgerConfig { dir: Some(dir.clone()), ..quick_config() };
+        let mut ledger = DeliveryLedger::open(config.clone()).unwrap();
+        let enqueued: Vec<u64> = (0..13u64)
+            .map(|i| ledger.enqueue(&user("alice"), i, CommType::Im, "im:alice", "x", t(i)))
+            .collect();
+        ledger.commit().unwrap();
+        drop(ledger);
+        {
+            let mut f = OpenOptions::new().append(true).open(segment_path(&dir, 0)).unwrap();
+            f.write_all(b"S\t1").unwrap();
+        }
+        let ids = |ledger: &DeliveryLedger| -> Vec<u64> {
+            let mut ids: Vec<u64> = ledger.records().map(|r| r.id).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let first = DeliveryLedger::open(config.clone()).unwrap();
+        let in_memory = ids(&first);
+        drop(first);
+        let second = DeliveryLedger::open(config).unwrap();
+        assert_eq!(in_memory, ids(&second), "memory after replay equals durable state");
+        assert_eq!(in_memory, enqueued, "no record retired by a torn send record");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -11,7 +11,7 @@ pub enum SendOutcome {
     /// Accepted; no acknowledgement will follow (SMS, email).
     Accepted,
     /// Accepted; an end-to-end acknowledgement will arrive after roughly
-    /// this long (IM to a present user). The service turns this into a
+    /// this long (IM to a present user). The host turns this into a
     /// delayed `Acked` event.
     AcceptedWithAck(Duration),
     /// Rejected synchronously.
@@ -22,19 +22,19 @@ pub enum SendOutcome {
 ///
 /// Implementations must be cheap and non-blocking: transit time is
 /// expressed through [`SendOutcome::AcceptedWithAck`] or simply by the
-/// receiving side, never by blocking the service loop.
+/// receiving side, never by blocking the shard worker loop.
 pub trait Channels: Send + 'static {
     /// Submits `text` to `address` over `comm_type`.
     fn send(&mut self, comm_type: CommType, address: &str, text: &str) -> SendOutcome;
 }
 
 /// A cloneable wrapper sharing one [`Channels`] implementation between
-/// several services — the shape a multi-tenant [`crate::MabHost`] needs,
-/// where every per-user service sends through the same gateway adapters.
+/// several senders — the shape a [`crate::ShardedHost`] needs, where every
+/// shard worker sends through the same gateway adapters.
 ///
 /// Sends are serialized by a mutex; that matches the [`Channels`]
 /// contract (cheap, non-blocking submissions), so contention stays low
-/// even with many tenants.
+/// even with many shards.
 #[derive(Debug)]
 pub struct SharedChannels<C> {
     inner: std::sync::Arc<std::sync::Mutex<C>>,

@@ -3,7 +3,7 @@
 use simba_sim::SimTime;
 use tokio::time::Instant;
 
-/// A monotonically increasing clock anchored at service start.
+/// A monotonically increasing clock anchored when it starts.
 ///
 /// Under `tokio::time::pause()` the clock follows tokio's virtual time,
 /// which makes live-runtime tests as deterministic as the simulation.

@@ -1,7 +1,7 @@
 //! Bridges ledger workers onto the runtime's channel adapters.
 //!
 //! The ledger worker pool speaks [`LedgerChannels`]; the runtime's
-//! services speak [`Channels`]. The bridge adapts one to the other and
+//! host speaks [`Channels`]. The bridge adapts one to the other and
 //! installs the exactly-once half of the ledger's contract: every
 //! outbound send passes its stable idempotency key through a bounded
 //! [`IdempotencyFilter`] *before* reaching the channel, so the

@@ -2,41 +2,50 @@
 //!
 //! The deterministic simulation in `simba-sim` drives the evaluation; this
 //! crate drives the *same* core state machines ([`simba_core::MyAlertBuddy`],
-//! [`simba_core::DeliveryProcess`]) against real time: a long-running MAB
-//! service task, channel adapters, tokio timers for delivery ack windows,
-//! and a watchdog task playing the MDC role.
+//! [`simba_core::DeliveryProcess`]) against real time: the [`ShardedHost`]
+//! running every user's buddy, channel adapters, a timer wheel for
+//! delivery ack windows, and a watchdog task playing the MDC role.
 //!
-//! Nothing in `simba-core` knows about tokio — the service here simply
-//! maps wall-clock instants onto [`simba_sim::SimTime`] through
+//! Nothing in `simba-core` knows about tokio — the host simply maps
+//! wall-clock instants onto [`simba_sim::SimTime`] through
 //! [`RuntimeClock`] and feeds events in. That is the architectural payoff
 //! of keeping the core event-driven: one implementation, two drivers.
 //!
-//! For deployments, [`MabHost`] runs one service per user over
-//! [`SharedChannels`] with per-user WALs, routing alerts to the owning
-//! buddy and retiring terminal deliveries so fleet state stays bounded.
-//! At population scale, [`ShardedHost`] replaces task-per-user with a
-//! fixed pool of shard workers multiplexing thousands of buddies each
-//! over group-committed shard logs, hibernating idle buddies to compact
-//! snapshots so memory tracks *active* users rather than registered ones.
+//! [`ShardedHost`] multiplexes buddies over a fixed pool of shard
+//! workers with group-committed shard logs, retiring terminal deliveries
+//! so state stays bounded and hibernating idle buddies to compact
+//! snapshots so memory tracks *active* users rather than registered
+//! ones. A small deployment is the same host with one shard and
+//! hibernation off.
 //!
 //! ```no_run
-//! use simba_runtime::{LoopbackChannels, MabService, RuntimeNotice};
-//! use simba_core::{IncomingAlert, MabConfig};
-//! use simba_sim::SimTime;
+//! use simba_runtime::{
+//!     ConfigFactory, LoopbackChannels, RuntimeNotice, SharedChannels, ShardedHost,
+//!     ShardedHostConfig,
+//! };
+//! use simba_core::{IncomingAlert, MabConfig, Telemetry, UserId};
+//! use simba_sim::{SimDuration, SimTime};
+//! use std::sync::Arc;
 //!
 //! # async fn demo(config: MabConfig) {
-//! let channels = LoopbackChannels::always_ack(std::time::Duration::from_millis(400));
-//! let (service, handle, mut notices) = MabService::new(config, channels);
-//! tokio::spawn(service.run());
-//! handle
-//!     .submit_im_alert(IncomingAlert::from_im("aladdin-gw", "Basement Water Sensor ON", SimTime::ZERO))
+//! let channels =
+//!     SharedChannels::new(LoopbackChannels::always_ack(std::time::Duration::from_millis(400)));
+//! let factory: ConfigFactory = Arc::new(move |_: &UserId| config.clone());
+//! let shape =
+//!     ShardedHostConfig { shards: 1, hibernate_after: SimDuration::ZERO, ..Default::default() };
+//! let (host, mut notices) =
+//!     ShardedHost::new(channels, shape, factory, Telemetry::disabled()).expect("in-memory logs");
+//! let alice = UserId::new("alice");
+//! host.register(alice.clone()).await;
+//! host.submit_im(&alice, IncomingAlert::from_im("aladdin-gw", "Basement Water Sensor ON", SimTime::ZERO))
 //!     .await;
 //! while let Some(notice) = notices.recv().await {
-//!     if let RuntimeNotice::DeliveryFinished { status, .. } = notice {
+//!     if let RuntimeNotice::DeliveryFinished { status, .. } = notice.notice {
 //!         println!("delivered: {status:?}");
 //!         break;
 //!     }
 //! }
+//! host.shutdown().await;
 //! # }
 //! ```
 
@@ -45,20 +54,19 @@
 
 mod channels;
 mod clock;
-mod host;
 mod ledger_bridge;
 mod presence;
-mod service;
 mod shard;
 mod watchdog;
 
 pub use channels::{Channels, LoopbackChannels, SendOutcome, SharedChannels};
 pub use clock::RuntimeClock;
-pub use host::{HostConfig, HostError, HostNotice, HostSnapshot, MabHost, DEFAULT_NOTICE_CAPACITY};
 pub use ledger_bridge::{
     shared_filter, LedgerChannelBridge, SharedFilter, DEFAULT_DEDUPE_CAPACITY,
 };
-pub use shard::{ConfigFactory, ShardedHost, ShardedHostConfig, ShardedSnapshot};
+pub use shard::{
+    ConfigFactory, HostNotice, HostProbe, RuntimeNotice, ShardedHost, ShardedHostConfig,
+    ShardedSnapshot, DEFAULT_NOTICE_CAPACITY,
+};
 pub use presence::{chanhealth_key, spawn_sweeper, StoreModeSelector, HEALTHY_VALUE};
-pub use service::{MabHandle, MabService, RuntimeNotice, ServiceSnapshot};
 pub use watchdog::{run_watchdog, run_watchdog_observed, WatchdogReport};

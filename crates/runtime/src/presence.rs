@@ -28,7 +28,7 @@ pub fn chanhealth_key(comm_type: CommType) -> &'static str {
 
 /// A [`ModeSelector`] that consults the soft-state store. Cheap to
 /// clone; reads are at most four shard-lock acquisitions per delivery
-/// start. Time comes from the caller (the buddy passes its service
+/// start. Time comes from the caller (the buddy passes its shard
 /// clock's `now`), so paused-time tests stay deterministic.
 #[derive(Debug, Clone)]
 pub struct StoreModeSelector {

@@ -1,14 +1,15 @@
-//! The sharded million-user host.
+//! The host: every user's MyAlertBuddy, multiplexed over shard workers.
 //!
-//! [`MabHost`](crate::MabHost) runs one service *task* per user — the
-//! right shape for hundreds of tenants, the wrong one for a million. The
-//! [`ShardedHost`] here is the scale shape: a fixed pool of shard workers
-//! (default: one per core), each multiplexing thousands of buddies over
-//! one [`ShardLog`] with **group commit** (one fsync per batch, not per
-//! alert) and **hibernation** (idle buddies are serialized to a compact
-//! CRC-guarded [`BuddySnapshot`] and rebuilt on the next routed alert or
-//! replay demand), so resident memory tracks *active* users while the
-//! roster tracks *registered* ones.
+//! The paper's MyAlertBuddy is a *per-user* always-on agent (§3.3), so a
+//! deployment runs many of them. [`ShardedHost`] is that deployment: a
+//! fixed pool of shard workers (default: one per core), each multiplexing
+//! thousands of buddies over one [`ShardLog`] with **group commit** (one
+//! fsync per batch, not per alert) and **hibernation** (idle buddies are
+//! serialized to a compact CRC-guarded [`BuddySnapshot`] and rebuilt on
+//! the next routed alert or replay demand), so resident memory tracks
+//! *active* users while the roster tracks *registered* ones. The small
+//! deployment — every buddy resident on one event loop — is the same host
+//! with `shards: 1` and `hibernate_after: SimDuration::ZERO`.
 //!
 //! The worker loop is the §4.2.1 pipeline batched:
 //!
@@ -23,20 +24,20 @@
 //!    those delivery events never touch the log, so no second fsync is
 //!    needed before their effects run.
 //!
-//! Durability ordering is preserved exactly as in the single-user
-//! service: no ack leaves the host before the commit covering its log
-//! record returns. A buddy whose processed-mark fails crashes *alone* —
-//! its stats fold into the shard, a fresh incarnation replays its log
-//! records — and the shard worker (with every other buddy on it) keeps
-//! running.
+//! Durability ordering is the §4.2.1 rule: no ack leaves the host before
+//! the commit covering its log record returns. A buddy whose
+//! processed-mark fails crashes *alone* — its stats fold into the shard,
+//! a fresh incarnation replays its log records — and the shard worker
+//! (with every other buddy on it) keeps running. The worker plays the
+//! MDC role for its buddies (crash restart, rejuvenation) and answers
+//! the watchdog's liveness probe ([`HostProbe`]).
 
 use crate::channels::{Channels, SendOutcome};
 use crate::clock::RuntimeClock;
-use crate::host::{HostNotice, DEFAULT_NOTICE_CAPACITY};
-use crate::service::RuntimeNotice;
 use simba_core::alert::IncomingAlert;
 use simba_core::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, DeliveryStatus, TimerId};
 use simba_core::mab::{DeliveryId, MabCommand, MabEvent, MabStats, MyAlertBuddy, RetiredDelivery};
+use simba_core::rejuvenate::RejuvenationTrigger;
 use simba_core::shardlog::{ShardLog, ShardLogConfig, ShardLogStats, DEFAULT_SEGMENT_MAX_BYTES};
 use simba_core::snapshot::BuddySnapshot;
 use simba_core::subscription::UserId;
@@ -56,6 +57,41 @@ use tokio::task::JoinHandle;
 /// `Send` and can be pinned to a dedicated OS thread; the mutex is
 /// uncontended — a log never leaves its shard's event loop.
 type SharedShardLog = Arc<Mutex<ShardLog>>;
+
+/// Default capacity of the merged [`HostNotice`] stream.
+pub const DEFAULT_NOTICE_CAPACITY: usize = 1024;
+
+/// Something a buddy on the host reports to its observer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RuntimeNotice {
+    /// The buddy acknowledged an incoming IM alert back to `source`.
+    AckSent {
+        /// The acknowledged source.
+        source: String,
+    },
+    /// A delivery reached a terminal state and retired.
+    DeliveryFinished {
+        /// Which delivery.
+        delivery: DeliveryId,
+        /// Its terminal status.
+        status: DeliveryStatus,
+    },
+    /// The buddy requested rejuvenation; its shard worker restarts it
+    /// (a fresh incarnation replays its log records).
+    Rejuvenating(
+        /// Why.
+        RejuvenationTrigger,
+    ),
+}
+
+/// A [`RuntimeNotice`] tagged with the user whose buddy emitted it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HostNotice {
+    /// The user.
+    pub user: UserId,
+    /// What their buddy reported.
+    pub notice: RuntimeNotice,
+}
 
 /// Builds a user's [`MabConfig`] on demand. Configuration is derivable
 /// state (profiles, subscriptions), deliberately not serialized into
@@ -109,8 +145,14 @@ pub struct ShardedHostConfig {
     /// When set, every alert for a *registered* user runs through this
     /// rules engine inside the owning shard worker before it reaches the
     /// buddy; drive deadline flushes with [`ShardedHost::pump_digests`]
-    /// (the gateway pumps call it on their idle tick).
+    /// (the gateway pump calls it on its idle tick).
     pub rules: Option<simba_rules::SharedRuleEngine>,
+    /// When set, every buddy consults this soft-state store through a
+    /// [`crate::StoreModeSelector`] at delivery start (installed at each
+    /// activation), so live presence and channel-health facts reorder
+    /// its delivery blocks. Expire facts by running
+    /// [`crate::spawn_sweeper`] over the same (cloned) store.
+    pub store: Option<simba_store::SoftStateStore>,
 }
 
 impl Default for ShardedHostConfig {
@@ -128,6 +170,7 @@ impl Default for ShardedHostConfig {
             threads: false,
             ledger: None,
             rules: None,
+            store: None,
         }
     }
 }
@@ -167,6 +210,12 @@ pub struct ShardedSnapshot {
     pub in_flight: usize,
     /// Deliveries tracked (in-flight plus awaiting retirement).
     pub tracked: usize,
+    /// Timer-wheel entries (block windows and simulated acks) not yet
+    /// fired; entries of retired deliveries drain as their deadlines pass.
+    pub timers: usize,
+    /// Retired-delivery summaries held in resident buddies'
+    /// completed-rings (each capped at [`ShardedHostConfig::completed_ring`]).
+    pub retired: usize,
     /// Retired deliveries that ended acknowledged.
     pub acked: u64,
     /// Retired deliveries that ended unconfirmed.
@@ -197,6 +246,8 @@ impl ShardedSnapshot {
         self.stats.merge(other.stats);
         self.in_flight += other.in_flight;
         self.tracked += other.tracked;
+        self.timers += other.timers;
+        self.retired += other.retired;
         self.acked += other.acked;
         self.unconfirmed += other.unconfirmed;
         self.exhausted += other.exhausted;
@@ -233,6 +284,8 @@ enum ShardMsg {
     },
     /// Reply with this shard's snapshot.
     Snapshot(oneshot::Sender<ShardedSnapshot>),
+    /// The watchdog's AreYouWorking(): answered by the worker loop.
+    Probe(oneshot::Sender<bool>),
     /// Test hook: hibernate a user now (if idle); replies whether it did.
     Hibernate(UserId, oneshot::Sender<bool>),
     /// Test hook: fail the user's next processed-mark.
@@ -298,18 +351,63 @@ enum ShardTask {
     Thread(std::thread::JoinHandle<()>),
 }
 
-struct ShardHandle {
+/// The sending side of one shard's inbound queue, with its depth count.
+#[derive(Clone)]
+struct ShardSender {
     tx: mpsc::Sender<ShardMsg>,
     depth: Arc<AtomicUsize>,
+}
+
+impl ShardSender {
+    /// Queues `msg`, awaiting space; `false` when the worker is gone.
+    async fn send(&self, msg: ShardMsg) -> bool {
+        self.depth.fetch_add(1, Ordering::Relaxed);
+        if self.tx.send(msg).await.is_err() {
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+            return false;
+        }
+        true
+    }
+}
+
+struct ShardHandle {
+    sender: ShardSender,
     task: ShardTask,
 }
 
-/// The sharded host front door: routes by user hash, registers in bulk,
+/// The host front door: routes by user hash, registers in bulk,
 /// snapshots and shuts down by fan-out.
 pub struct ShardedHost {
     shards: Vec<ShardHandle>,
     clock: RuntimeClock,
     rules: Option<simba_rules::SharedRuleEngine>,
+}
+
+/// A cloneable liveness handle over every shard worker of a
+/// [`ShardedHost`] — what [`crate::run_watchdog`] probes.
+#[derive(Clone)]
+pub struct HostProbe {
+    shards: Vec<ShardSender>,
+}
+
+impl HostProbe {
+    /// The watchdog probe: resolves `true` when every shard worker's
+    /// event loop answers, `false` as soon as one is gone.
+    pub async fn are_you_working(&self) -> bool {
+        for shard in &self.shards {
+            let (reply_tx, reply_rx) = oneshot::channel();
+            if !shard.send(ShardMsg::Probe(reply_tx)).await || !reply_rx.await.unwrap_or(false) {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+impl std::fmt::Debug for HostProbe {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HostProbe").field("shards", &self.shards.len()).finish()
+    }
 }
 
 impl ShardedHost {
@@ -353,10 +451,11 @@ impl ShardedHost {
             let log = Arc::new(Mutex::new(ShardLog::open(log_config)?));
             let (tx, rx) = mpsc::channel(config.queue_capacity.max(1));
             let depth = Arc::new(AtomicUsize::new(0));
-            // Deferred so a threaded worker anchors its clock on its own
-            // thread's event loop, not the spawning one's. Everything the
-            // closure captures is `Send` — the compile-time proof lives in
-            // the `shard_worker_future_is_send` test below.
+            // Built inside the worker's own future, so a threaded worker
+            // anchors its clock on its own thread's event loop, not the
+            // spawning one's. Everything the closure captures is `Send` —
+            // the compile-time proof lives in the
+            // `shard_worker_future_is_send` test below.
             let worker_depth = Arc::clone(&depth);
             let worker_channels = channels.clone();
             let worker_telemetry = telemetry.clone();
@@ -368,6 +467,7 @@ impl ShardedHost {
             let completed_ring = config.completed_ring;
             let worker_ledger = config.ledger.clone();
             let worker_rules = config.rules.clone();
+            let worker_store = config.store.clone();
             let build = move || Worker {
                 rx,
                 depth: worker_depth,
@@ -397,17 +497,19 @@ impl ShardedHost {
                 completed_ring,
                 ledger: worker_ledger,
                 rules: worker_rules,
+                store: worker_store,
             };
+            let worker = async move { build().run().await };
             let task = if config.threads {
                 let thread = std::thread::Builder::new()
                     .name(format!("simba-shard-{index:03}"))
-                    .spawn(move || tokio::runtime::block_on(build().run()))
+                    .spawn(move || tokio::runtime::block_on(worker))
                     .map_err(WalError::from)?;
                 ShardTask::Thread(thread)
             } else {
-                ShardTask::Local(tokio::spawn(build().run()))
+                ShardTask::Local(tokio::spawn(worker))
             };
-            shards.push(ShardHandle { tx, depth, task });
+            shards.push(ShardHandle { sender: ShardSender { tx, depth }, task });
         }
         let rules = config.rules.clone();
         Ok((ShardedHost { shards, clock: RuntimeClock::start(), rules }, notice_rx))
@@ -416,6 +518,17 @@ impl ShardedHost {
     /// The attached rules engine, if any.
     pub fn rules(&self) -> Option<&simba_rules::SharedRuleEngine> {
         self.rules.as_ref()
+    }
+
+    /// The front door's clock — the timeline digest deadlines, store
+    /// facts, and the store sweeper measure.
+    pub fn clock(&self) -> RuntimeClock {
+        self.clock
+    }
+
+    /// A cloneable liveness handle for [`crate::run_watchdog`].
+    pub fn probe(&self) -> HostProbe {
+        HostProbe { shards: self.shards.iter().map(|s| s.sender.clone()).collect() }
     }
 
     /// Flushes every digest window whose deadline has passed and routes
@@ -503,7 +616,7 @@ impl ShardedHost {
 
     /// Sum of inbound queue depths across shards (a load signal).
     pub fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.depth.load(Ordering::Relaxed)).sum()
+        self.shards.iter().map(|s| s.sender.depth.load(Ordering::Relaxed)).sum()
     }
 
     /// Test hook: asks the owning shard to hibernate `user` now; resolves
@@ -542,8 +655,7 @@ impl ShardedHost {
         let mut merged = ShardedSnapshot::default();
         for shard in self.shards {
             let (reply_tx, reply_rx) = oneshot::channel();
-            shard.depth.fetch_add(1, Ordering::Relaxed);
-            if shard.tx.send(ShardMsg::Stop(reply_tx)).await.is_ok() {
+            if shard.sender.send(ShardMsg::Stop(reply_tx)).await {
                 if let Ok(snap) = reply_rx.await {
                     merged.merge(&snap);
                 }
@@ -563,13 +675,7 @@ impl ShardedHost {
     }
 
     async fn send(&self, shard: usize, msg: ShardMsg) -> bool {
-        let handle = &self.shards[shard];
-        handle.depth.fetch_add(1, Ordering::Relaxed);
-        if handle.tx.send(msg).await.is_err() {
-            handle.depth.fetch_sub(1, Ordering::Relaxed);
-            return false;
-        }
-        true
+        self.shards[shard].sender.send(msg).await
     }
 }
 
@@ -614,9 +720,8 @@ struct Worker<C> {
     notices: mpsc::Sender<HostNotice>,
     log: SharedShardLog,
     roster: HashMap<UserId, UserSlot>,
-    /// The central timer wheel: `(deadline, seq)` → entry. Replaces the
-    /// per-timer spawned tasks of [`crate::MabService`]; at shard scale,
-    /// one `BTreeMap` beats ten thousand sleeping tasks.
+    /// The central timer wheel: `(deadline, seq)` → entry. At shard
+    /// scale, one `BTreeMap` beats ten thousand sleeping timer tasks.
     timers: BTreeMap<(SimTime, u64), TimerEntry>,
     timer_seq: u64,
     next_incarnation: u64,
@@ -641,6 +746,8 @@ struct Worker<C> {
     ledger: Option<simba_ledger::SharedLedger>,
     /// Registered users' alerts run through this engine before routing.
     rules: Option<simba_rules::SharedRuleEngine>,
+    /// Presence/channel-health facts every buddy's mode selector reads.
+    store: Option<simba_store::SoftStateStore>,
 }
 
 enum Flow {
@@ -718,17 +825,19 @@ impl<C: Channels> Worker<C> {
         }
     }
 
-    /// Time until the next timer deadline or hibernation sweep, clamped
-    /// to [1 ms, 1 s] so the worker stays responsive without spinning.
+    /// Time until the next timer deadline or hibernation sweep (none when
+    /// hibernation is off), clamped to [1 ms, 1 s] so the worker stays
+    /// responsive without spinning.
     fn idle_wait(&self) -> Duration {
         let now = self.clock.now();
-        let mut deadline = self.last_sweep + self.sweep_every;
-        if let Some(((at, _), _)) = self.timers.iter().next() {
-            if *at < deadline {
-                deadline = *at;
-            }
-        }
-        Duration::from_millis(deadline.since(now).as_millis().clamp(1, 1_000))
+        let sweep = (self.hibernate_after != SimDuration::ZERO)
+            .then(|| self.last_sweep + self.sweep_every);
+        let timer = self.timers.keys().next().map(|(at, _)| *at);
+        let wait_ms = match sweep.into_iter().chain(timer).min() {
+            Some(deadline) => deadline.since(now).as_millis(),
+            None => 1_000,
+        };
+        Duration::from_millis(wait_ms.clamp(1, 1_000))
     }
 
     fn handle_msg(
@@ -781,6 +890,9 @@ impl<C: Channels> Worker<C> {
             ShardMsg::Snapshot(reply) => {
                 self.retire_all(now);
                 let _ = reply.send(self.shard_snapshot());
+            }
+            ShardMsg::Probe(reply) => {
+                let _ = reply.send(true);
             }
             ShardMsg::Hibernate(user, reply) => {
                 let _ = reply.send(self.try_hibernate(&user, now));
@@ -907,6 +1019,9 @@ impl<C: Channels> Worker<C> {
         };
         mab.set_retirement(self.retirement_grace, self.completed_ring);
         mab.set_telemetry(self.telemetry.clone());
+        if let Some(store) = &self.store {
+            mab.set_mode_selector(Box::new(crate::StoreModeSelector::new(store.clone())));
+        }
         let recovery = mab.recover(now);
         staged.extend(recovery.into_iter().map(|cmd| (user.clone(), cmd)));
         if mab.is_crashed() {
@@ -1298,6 +1413,7 @@ impl<C: Channels> Worker<C> {
             crashes: self.crashes,
             corrupt_snapshots: self.corrupt_snapshots,
             unrouted: self.unrouted,
+            timers: self.timers.len(),
             log: self.lock_log().stats(),
             ..ShardedSnapshot::default()
         };
@@ -1308,6 +1424,7 @@ impl<C: Channels> Worker<C> {
                     snap.stats.merge(active.mab.stats());
                     snap.in_flight += active.mab.in_flight();
                     snap.tracked += active.mab.tracked();
+                    snap.retired += active.mab.retired_len();
                 }
                 UserSlot::Hibernated(_) => snap.hibernated += 1,
                 UserSlot::Fresh => {}

@@ -1,11 +1,14 @@
-//! A live watchdog task: the MDC role over a running [`MabService`].
+//! A live watchdog task: the MDC role over a running [`ShardedHost`].
 //!
-//! Periodically probes the service with AreYouWorking(); counts misses.
-//! Unlike the simulated MDC (which owns restart policy), the live watchdog
-//! reports — restarting a tokio task graph is the supervisor's choice, so
-//! the function returns when the service stops responding.
+//! Periodically probes every shard worker with AreYouWorking() through a
+//! [`HostProbe`]; counts misses. Buddy-level restarts (crash, rejuvenation)
+//! happen inside the shard workers; the live watchdog reports on the
+//! workers themselves — restarting a task graph is the supervisor's
+//! choice, so the function returns when the host stops responding.
+//!
+//! [`ShardedHost`]: crate::ShardedHost
 
-use crate::service::MabHandle;
+use crate::shard::HostProbe;
 use simba_core::Telemetry;
 use simba_telemetry::Event;
 use std::time::Duration;
@@ -16,21 +19,21 @@ use tokio::time::timeout;
 pub struct WatchdogReport {
     /// Probes answered in time.
     pub healthy_probes: u64,
-    /// Probes that timed out or failed before the service died.
+    /// Probes that timed out or failed before the host went down.
     pub missed_probes: u64,
 }
 
-/// Probes `handle` every `interval` with the given `reply_timeout`.
-/// Returns once `max_consecutive_misses` probes in a row fail (service
-/// hung or gone).
+/// Probes `probe` every `interval` with the given `reply_timeout`.
+/// Returns once `max_consecutive_misses` probes in a row fail (a shard
+/// worker hung or gone).
 pub async fn run_watchdog(
-    handle: MabHandle,
+    probe: HostProbe,
     interval: Duration,
     reply_timeout: Duration,
     max_consecutive_misses: u32,
 ) -> WatchdogReport {
     run_watchdog_observed(
-        handle,
+        probe,
         interval,
         reply_timeout,
         max_consecutive_misses,
@@ -44,7 +47,7 @@ pub async fn run_watchdog(
 /// `watchdog.probe_latency_ms` histogram, and a `watchdog.service_down`
 /// event when the miss limit is reached.
 pub async fn run_watchdog_observed(
-    handle: MabHandle,
+    probe: HostProbe,
     interval: Duration,
     reply_timeout: Duration,
     max_consecutive_misses: u32,
@@ -62,7 +65,7 @@ pub async fn run_watchdog_observed(
         ticker.tick().await;
         let asked_at = tokio::time::Instant::now();
         let alive = matches!(
-            timeout(reply_timeout, handle.are_you_working()).await,
+            timeout(reply_timeout, probe.are_you_working()).await,
             Ok(true)
         );
         if telemetry.enabled() {
@@ -107,27 +110,40 @@ pub async fn run_watchdog_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channels::LoopbackChannels;
-    use crate::service::MabService;
+    use crate::channels::{LoopbackChannels, SharedChannels};
+    use crate::shard::{ConfigFactory, ShardedHost, ShardedHostConfig};
     use simba_core::MabConfig;
+    use simba_sim::SimDuration;
+    use std::sync::Arc;
+
+    fn one_shard_host() -> ShardedHost {
+        let config =
+            ShardedHostConfig { shards: 1, hibernate_after: SimDuration::ZERO, ..Default::default() };
+        let factory: ConfigFactory = Arc::new(|_| MabConfig::default());
+        let (host, _notices) =
+            ShardedHost::new(
+            SharedChannels::new(LoopbackChannels::accept_all()),
+            config,
+            factory,
+            Telemetry::disabled(),
+        )
+        .expect("in-memory shard logs");
+        host
+    }
 
     #[tokio::test(start_paused = true)]
-    async fn watchdog_sees_healthy_service_then_detects_shutdown() {
-        let (service, handle, _notices) =
-            MabService::new(MabConfig::default(), LoopbackChannels::accept_all());
-        let join = tokio::spawn(service.run());
-
+    async fn watchdog_sees_healthy_host_then_detects_shutdown() {
+        let host = one_shard_host();
         let watchdog = tokio::spawn(run_watchdog(
-            handle.clone(),
+            host.probe(),
             Duration::from_secs(180),
             Duration::from_secs(30),
             2,
         ));
 
-        // Let a few healthy probes happen, then kill the service.
+        // Let a few healthy probes happen, then stop the host.
         tokio::time::sleep(Duration::from_secs(700)).await;
-        join.abort();
-        let _ = join.await;
+        host.shutdown().await;
 
         let report = watchdog.await.unwrap();
         assert!(report.healthy_probes >= 3, "healthy {report:?}");
@@ -137,16 +153,12 @@ mod tests {
     #[tokio::test(start_paused = true)]
     async fn observed_watchdog_records_probe_latency_and_shutdown() {
         use simba_telemetry::{RingBufferSink, Telemetry};
-        use std::sync::Arc;
 
-        let (service, handle, _notices) =
-            MabService::new(MabConfig::default(), LoopbackChannels::accept_all());
-        let join = tokio::spawn(service.run());
-
+        let host = one_shard_host();
         let sink = Arc::new(RingBufferSink::new(64));
         let telemetry = Telemetry::with_sink(sink.clone());
         let watchdog = tokio::spawn(run_watchdog_observed(
-            handle.clone(),
+            host.probe(),
             Duration::from_secs(180),
             Duration::from_secs(30),
             2,
@@ -154,8 +166,7 @@ mod tests {
         ));
 
         tokio::time::sleep(Duration::from_secs(700)).await;
-        join.abort();
-        let _ = join.await;
+        host.shutdown().await;
         let report = watchdog.await.unwrap();
 
         let snap = telemetry.metrics().snapshot();
@@ -168,5 +179,14 @@ mod tests {
         let events = sink.events();
         assert!(events.iter().any(|e| e.name == "watchdog.probe"));
         assert_eq!(events.last().unwrap().name, "watchdog.service_down");
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn probe_answers_while_up_and_fails_after_shutdown() {
+        let host = one_shard_host();
+        let probe = host.probe();
+        assert!(probe.are_you_working().await);
+        host.shutdown().await;
+        assert!(!probe.are_you_working().await);
     }
 }

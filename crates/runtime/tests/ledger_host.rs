@@ -1,5 +1,5 @@
-//! End-to-end ledger-routed delivery: a `MabHost` whose services enqueue
-//! channel attempts into the durable ledger instead of sending inline,
+//! End-to-end ledger-routed delivery: a `ShardedHost` whose shard workers
+//! enqueue channel attempts into the durable ledger instead of sending inline,
 //! a worker pool draining the leases through the idempotency bridge into
 //! the loopback channels, and the acceptance invariant — every alert's
 //! visible effect happens exactly once — checked at the channel.
@@ -14,8 +14,8 @@ use simba_ledger::{
     DeliveryLedger, LedgerChannels, LedgerClock, LedgerConfig, LedgerWorkerPool, WorkerPoolConfig,
 };
 use simba_runtime::{
-    shared_filter, HostConfig, HostNotice, LedgerChannelBridge, LoopbackChannels, MabHost,
-    RuntimeNotice, SharedChannels,
+    shared_filter, HostNotice, LedgerChannelBridge, LoopbackChannels, RuntimeNotice,
+    SharedChannels, ShardedHost, ShardedHostConfig,
 };
 use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::{RingBufferSink, Telemetry};
@@ -67,13 +67,21 @@ async fn ledger_routed_host_delivers_exactly_once_despite_a_worker_kill() {
         .with_telemetry(telemetry.clone()),
     ));
 
-    let (host, mut notices) = MabHost::new(channels.clone(), HostConfig::default());
-    let mut host = host.with_telemetry(telemetry.clone()).with_ledger(Arc::clone(&ledger));
+    let shape = ShardedHostConfig {
+        shards: 1,
+        hibernate_after: SimDuration::ZERO,
+        ledger: Some(Arc::clone(&ledger)),
+        ..ShardedHostConfig::default()
+    };
+    let (host, mut notices) = ShardedHost::new(
+        channels.clone(),
+        shape,
+        Arc::new(|user: &UserId| user_config(&user.0)),
+        telemetry.clone(),
+    )
+    .expect("in-memory shard log");
     let users = 8usize;
-    for i in 0..users {
-        let name = format!("user-{i}");
-        host.add_user(UserId::new(&name), user_config(&name)).expect("user added");
-    }
+    host.register_many((0..users).map(|i| UserId::new(format!("user-{i}"))).collect()).await;
 
     // The pool: two workers, each bridging into the same loopback
     // channels behind one shared idempotency filter.

@@ -10,7 +10,8 @@ use simba_core::rejuvenate::RejuvenationPolicy;
 use simba_core::subscription::{SubscriptionRegistry, UserId};
 use simba_core::{IncomingAlert, MabConfig};
 use simba_runtime::{
-    HostConfig, HostNotice, LoopbackChannels, MabHost, RuntimeNotice, SharedChannels,
+    spawn_sweeper, HostNotice, LoopbackChannels, RuntimeNotice, SharedChannels, ShardedHost,
+    ShardedHostConfig,
 };
 use simba_sim::{SimDuration, SimTime};
 use simba_store::{SoftStateStore, StoreConfig, PRESENCE_SCOPE};
@@ -39,6 +40,24 @@ fn alice_config() -> MabConfig {
     MabConfig { classifier, registry, rejuvenation: RejuvenationPolicy::default() }
 }
 
+/// A one-shard host running only alice, with `store` behind every
+/// buddy's mode selector.
+fn host_with_store(
+    channels: SharedChannels<LoopbackChannels>,
+    config: MabConfig,
+    store: &SoftStateStore,
+    telemetry: Telemetry,
+) -> (ShardedHost, tokio::sync::mpsc::Receiver<HostNotice>) {
+    let shape = ShardedHostConfig {
+        shards: 1,
+        hibernate_after: SimDuration::ZERO,
+        store: Some(store.clone()),
+        ..ShardedHostConfig::default()
+    };
+    ShardedHost::new(channels, shape, Arc::new(move |_: &UserId| config.clone()), telemetry)
+        .expect("in-memory shard log")
+}
+
 async fn wait_finished(notices: &mut tokio::sync::mpsc::Receiver<HostNotice>) {
     loop {
         let HostNotice { notice, .. } = notices.recv().await.expect("notice stream alive");
@@ -58,11 +77,10 @@ async fn presence_fact_reorders_blocks_then_expiry_restores_static_profile() {
     let channels = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(200)));
     let store = SoftStateStore::new(StoreConfig::default(), telemetry.clone());
 
-    let (host, mut notices) = MabHost::new(channels.clone(), HostConfig::default());
-    let mut host = host
-        .with_telemetry(telemetry.clone())
-        .with_store(store.clone(), SimDuration::from_secs(1));
-    host.add_user(UserId::new("alice"), alice_config()).expect("alice added");
+    let (host, mut notices) =
+        host_with_store(channels.clone(), alice_config(), &store, telemetry.clone());
+    let sweeper = spawn_sweeper(store.clone(), host.clock(), SimDuration::from_secs(1));
+    host.register(UserId::new("alice")).await;
 
     // WISH reports alice away from her desk, valid for five seconds.
     store.put(
@@ -109,9 +127,10 @@ async fn presence_fact_reorders_blocks_then_expiry_restores_static_profile() {
         assert_eq!(sent.iter().filter(|(_, _, text)| text.contains("Sensor B")).count(), 1);
     });
 
-    let stats = host.shutdown().await;
-    assert_eq!(stats.len(), 1);
-    let alice = &stats[0].1;
+    let snap = host.shutdown().await;
+    sweeper.abort();
+    assert_eq!(snap.users, 1);
+    let alice = snap.stats;
     assert_eq!(alice.deliveries_started, 2, "no alert lost, none double-started");
     assert_eq!(alice.mode_overridden, 1, "only delivery 1 was presence-adjusted");
 
@@ -153,9 +172,10 @@ async fn fact_expiring_mid_delivery_does_not_lose_or_duplicate() {
 
     let channels = SharedChannels::new(LoopbackChannels::accept_all());
     let store = SoftStateStore::new(StoreConfig::default(), Telemetry::disabled());
-    let (host, mut notices) = MabHost::new(channels.clone(), HostConfig::default());
-    let mut host = host.with_store(store.clone(), SimDuration::from_secs(1));
-    host.add_user(UserId::new("alice"), config).expect("alice added");
+    let (host, mut notices) =
+        host_with_store(channels.clone(), config, &store, Telemetry::disabled());
+    let sweeper = spawn_sweeper(store.clone(), host.clock(), SimDuration::from_secs(1));
+    host.register(UserId::new("alice")).await;
 
     // Away presence skips the IM block; the adjusted mode starts with the
     // acked SMS block whose 30 s window far outlives the fact's 2 s TTL.
@@ -187,7 +207,8 @@ async fn fact_expiring_mid_delivery_does_not_lose_or_duplicate() {
         assert!(sent.iter().all(|(ty, _, _)| *ty != CommType::Im));
     });
 
-    let stats = host.shutdown().await;
-    assert_eq!(stats[0].1.deliveries_started, 1);
-    assert_eq!(stats[0].1.mode_overridden, 1);
+    let snap = host.shutdown().await;
+    sweeper.abort();
+    assert_eq!(snap.stats.deliveries_started, 1);
+    assert_eq!(snap.stats.mode_overridden, 1);
 }

@@ -13,9 +13,10 @@ use simba_core::classify::{Classifier, KeywordField};
 use simba_core::mode::DeliveryMode;
 use simba_core::rejuvenate::RejuvenationPolicy;
 use simba_core::subscription::{SubscriptionRegistry, UserId};
-use simba_core::{IncomingAlert, MabConfig, Telemetry};
+use simba_core::{DeliveryStatus, IncomingAlert, MabConfig, Telemetry};
 use simba_runtime::{
-    ConfigFactory, LoopbackChannels, SharedChannels, ShardedHost, ShardedHostConfig,
+    ConfigFactory, HostNotice, LoopbackChannels, RuntimeNotice, SharedChannels, ShardedHost,
+    ShardedHostConfig,
 };
 use simba_sim::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -41,6 +42,11 @@ impl Lcg {
 }
 
 fn user_config(name: &str) -> MabConfig {
+    user_config_with_window(name, SimDuration::from_secs(60))
+}
+
+/// IM first, email after `window` without an ack.
+fn user_config_with_window(name: &str, window: SimDuration) -> MabConfig {
     let mut classifier = Classifier::new();
     classifier.accept_source("aladdin-gw", KeywordField::Body, "cfg");
     classifier.map_keyword("Sensor", "Home");
@@ -55,7 +61,7 @@ fn user_config(name: &str) -> MabConfig {
         "Urgent",
         "IM",
         "EM",
-        SimDuration::from_secs(60),
+        window,
     ));
     registry.subscribe("Home", user, "Urgent").unwrap();
     MabConfig { classifier, registry, rejuvenation: RejuvenationPolicy::default() }
@@ -170,4 +176,67 @@ fn threaded_shards_keep_the_ledger_under_crashes_and_hibernation() {
         submitted
     });
     assert_eq!(total, (USERS * WAVES) as u64);
+}
+
+/// Regression: a threaded shard worker must start its clock on its own
+/// event loop. Built outside it, the clock reads the process-wide
+/// fallback timeline, so a host built after the process has run for T
+/// seconds kept its shard clock at zero for about T — ack windows,
+/// hibernation sweeps, and digest deadlines all stalled that long.
+#[test]
+fn later_threaded_host_fires_its_ack_timeout_on_time() {
+    const WINDOW: Duration = Duration::from_millis(300);
+    let threaded = ShardedHostConfig {
+        shards: 1,
+        threads: true,
+        hibernate_after: SimDuration::ZERO,
+        ..ShardedHostConfig::default()
+    };
+    // Anchor the process timeline, run a first threaded host, then let
+    // the process age well past the ack window.
+    let _ = tokio::time::Instant::now();
+    let first = threaded.clone();
+    tokio::runtime::block_on(async move {
+        let shared = SharedChannels::new(LoopbackChannels::accept_all());
+        let (host, _notices) =
+            ShardedHost::new(shared, first, factory(), Telemetry::disabled()).unwrap();
+        host.shutdown().await;
+    });
+    std::thread::sleep(Duration::from_millis(2_500));
+
+    let elapsed = tokio::runtime::block_on(async move {
+        // The IM is accepted but never acked: the window must lapse into
+        // the email fallback on time.
+        let window: ConfigFactory = Arc::new(|user: &UserId| {
+            user_config_with_window(&user.0, SimDuration::from_millis(WINDOW.as_millis() as u64))
+        });
+        let shared = SharedChannels::new(LoopbackChannels::accept_all());
+        let (host, mut notices) =
+            ShardedHost::new(shared, threaded, window, Telemetry::disabled()).unwrap();
+        let alice = UserId::new("alice");
+        host.register(alice.clone()).await;
+        let started = std::time::Instant::now();
+        host.submit_im(&alice, sensor_alert("Sensor ON")).await;
+        let finished = tokio::time::timeout(Duration::from_secs(10), async {
+            loop {
+                let HostNotice { notice, .. } = notices.recv().await.expect("host alive");
+                if let RuntimeNotice::DeliveryFinished { status, .. } = notice {
+                    return status;
+                }
+            }
+        })
+        .await
+        .expect("the fallback fired at all");
+        let elapsed = started.elapsed();
+        assert!(
+            matches!(finished, DeliveryStatus::Unconfirmed { block: 1, .. }),
+            "email fallback expected, got {finished:?}"
+        );
+        host.shutdown().await;
+        elapsed
+    });
+    assert!(
+        elapsed >= WINDOW && elapsed < WINDOW + Duration::from_millis(1_000),
+        "fallback after {elapsed:?}, window {WINDOW:?}"
+    );
 }

@@ -165,14 +165,12 @@ pub const POINTS: &[PointDef] = &[
     point!("host.hibernated", [Counter], "host", "idle buddies hibernated to compact snapshots by the sharded host"),
     point!("host.notice_dropped", [Counter], "host", "MAB notices dropped because the host's notice queue was full"),
     point!("host.rehydrated", [Counter], "host", "hibernated buddies rebuilt from snapshots on routed demand"),
-    point!("host.routed", [Counter], "host", "alerts the multi-user host routed to a per-user MAB"),
+    point!("host.routed", [Counter], "host", "alerts the host routed to a registered user's MAB"),
     point!("host.segments_rotated", [Counter], "host", "shard-log segment rotations (history compacted to live records)"),
     point!("host.shard_depth", [Gauge], "host", "current inbound queue depth of a shard worker"),
     point!("host.snapshot_corrupt", [Counter], "host", "hibernation snapshots rejected at rehydration; each fell back to shard-log replay"),
-    point!("host.unrouted", [Event, Counter], "host", "an alert arrived for a user the host does not run"),
-    point!("host.user_added", [Event], "host", "a per-user MAB runtime was started on the host"),
-    point!("host.user_stopped", [Event], "host", "a per-user MAB runtime was retired from the host"),
-    point!("host.users", [Counter], "host", "per-user MAB runtimes started over the host's lifetime"),
+    point!("host.unrouted", [Counter], "host", "alerts that arrived for a user the host has not registered"),
+    point!("host.users", [Counter], "host", "users registered on the host over its lifetime"),
     point!("im.one_way", [Summary], "im", "sim: one-way source-to-client IM latency (paper fig. E1)"),
     point!("ledger.commit_batch", [Counter], "ledger", "delivery-ledger group commits (one fsync each in file mode)"),
     point!("ledger.dead_lettered", [Counter], "ledger", "records parked in the bounded dead-letter queue after max attempts"),
@@ -235,16 +233,9 @@ pub const POINTS: &[PointDef] = &[
     point!("rules.suppressed", [Counter], "rules", "alerts dropped by a suppress rule or dedupe template"),
     point!("rules.upserts", [Counter], "rules", "rules created or replaced in the rules log"),
     point!("runtime.acks_sent", [Counter], "runtime", "acknowledgements the runtime forwarded to sources"),
-    point!("runtime.deliveries_finished", [Counter], "runtime", "delivery state machines driven to completion"),
-    point!("runtime.delivery_finished", [Event], "runtime", "one delivery state machine completed, with its outcome"),
-    point!("runtime.notice_dropped", [Counter], "runtime", "service notices dropped because the notice queue was full"),
-    point!("runtime.recovered", [Event], "runtime", "the supervisor restarted the MAB after a failure"),
-    point!("runtime.recoveries", [Counter], "runtime", "supervisor-driven MAB restarts"),
-    point!("runtime.rejuvenating", [Event], "runtime", "a proactive rejuvenation restart began"),
     point!("runtime.rejuvenations", [Counter], "runtime", "proactive rejuvenation restarts performed"),
-    point!("runtime.send", [Event], "runtime", "the runtime dispatched one channel send"),
     point!("runtime.sends", [Counter], "runtime", "channel sends dispatched by the runtime"),
-    point!("runtime.stale_dropped", [Event, Counter], "runtime", "an expired alert was dropped instead of delivered"),
+    point!("runtime.stale_dropped", [Counter], "runtime", "stale timer or ack wakeups dropped (delivery retired or buddy re-incarnated)"),
     point!("sanity.client_restart", [Counter], "sanity", "sim: client restarts performed by the sanity checker (Table 2)"),
     point!("sanity.dialog_dismissed", [Counter], "sanity", "sim: stuck dialogs dismissed by the sanity checker (Table 2)"),
     point!("sanity.relogon", [Counter], "sanity", "sim: IM re-logons performed by the sanity checker (Table 2)"),

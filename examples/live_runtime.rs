@@ -1,27 +1,45 @@
 //! The tokio live runtime: the same MyAlertBuddy state machine running
-//! against wall-clock time, with loopback channels standing in for the
-//! IM/email services.
+//! against wall-clock time on a one-shard host, with loopback channels
+//! standing in for the IM/email services.
 //!
 //! ```text
 //! cargo run --example live_runtime
 //! ```
 
 use simba::core::alert::IncomingAlert;
-use simba::runtime::{LoopbackChannels, MabService, RuntimeNotice};
-use simba::sim::SimTime;
+use simba::core::subscription::UserId;
+use simba::core::Telemetry;
+use simba::runtime::{
+    LoopbackChannels, RuntimeNotice, ShardedHost, ShardedHostConfig, SharedChannels,
+};
+use simba::sim::{SimDuration, SimTime};
 use simba_bench::harness::standard_config;
+use std::sync::Arc;
 use std::time::Duration;
 
 #[tokio::main(flavor = "current_thread")]
 async fn main() {
     // IM sends are acknowledged by the "user" 400 ms after delivery.
-    let channels = LoopbackChannels::always_ack(Duration::from_millis(400));
-    let (service, handle, mut notices) = MabService::new(standard_config(), channels);
-    let service_task = tokio::spawn(service.run());
+    let channels = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(400)));
+    // One shard, hibernation off: alice's buddy stays resident.
+    let config = ShardedHostConfig {
+        shards: 1,
+        hibernate_after: SimDuration::ZERO,
+        ..Default::default()
+    };
+    let (host, mut notices) = ShardedHost::new(
+        channels,
+        config,
+        Arc::new(|_: &UserId| standard_config()),
+        Telemetry::disabled(),
+    )
+    .expect("in-memory shard log");
+    let alice = UserId::new("alice");
+    host.register(alice.clone()).await;
 
-    // A watchdog probes the service while we use it.
+    // A watchdog probes the host's shard worker while we use it.
     let watchdog = tokio::spawn(simba::runtime::run_watchdog(
-        handle.clone(),
+        host.probe(),
         Duration::from_millis(500),
         Duration::from_millis(200),
         3,
@@ -29,18 +47,16 @@ async fn main() {
 
     println!("submitting a critical alert over IM…");
     let started = std::time::Instant::now();
-    handle
-        .submit_im_alert(IncomingAlert::from_im(
-            "aladdin-gw",
-            "Basement Water Sensor ON",
-            SimTime::ZERO,
-        ))
-        .await;
+    host.submit_im(
+        &alice,
+        IncomingAlert::from_im("aladdin-gw", "Basement Water Sensor ON", SimTime::ZERO),
+    )
+    .await;
 
     // Watch the pipeline unfold in real time.
     while let Some(notice) = notices.recv().await {
         let at = started.elapsed();
-        match notice {
+        match notice.notice {
             RuntimeNotice::AckSent { source } => {
                 println!("[{at:>8.1?}] buddy acked the alert back to {source}");
             }
@@ -55,11 +71,10 @@ async fn main() {
         }
     }
 
-    // Let the watchdog observe the healthy service for a moment, then
-    // shut the service down; the watchdog notices within a few probes.
+    // Let the watchdog observe the healthy host for a moment, then shut
+    // it down; the watchdog notices within a few probes.
     tokio::time::sleep(Duration::from_millis(1_200)).await;
-    drop(handle);
-    service_task.abort();
+    host.shutdown().await;
     let report = watchdog.await.expect("watchdog task");
     println!(
         "watchdog report: {} healthy probes, {} missed",

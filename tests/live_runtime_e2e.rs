@@ -1,43 +1,68 @@
 //! Integration: the tokio live runtime drives the same core as the
-//! simulation — an alert flows source → MAB service → channel adapters →
-//! ack, under paused (deterministic) tokio time.
+//! simulation — an alert flows source → host → buddy → channel adapters
+//! → ack, under paused (deterministic) tokio time, on the one-shard host.
 
 use simba::core::alert::IncomingAlert;
 use simba::core::delivery::{DeliveryStatus, SendFailure};
-use simba::runtime::{Channels, LoopbackChannels, MabService, RuntimeNotice, SendOutcome};
-use simba::sim::SimTime;
+use simba::core::subscription::UserId;
+use simba::core::Telemetry;
+use simba::runtime::{
+    HostNotice, LoopbackChannels, RuntimeNotice, SendOutcome, SharedChannels, ShardedHost,
+    ShardedHostConfig,
+};
+use simba::sim::{SimDuration, SimTime};
 use simba_bench::harness::standard_config;
+use std::sync::Arc;
 use std::time::Duration;
 
-struct Scripted(LoopbackChannels);
-
-impl Channels for Scripted {
-    fn send(&mut self, ct: simba::core::address::CommType, addr: &str, text: &str) -> SendOutcome {
-        self.0.send(ct, addr, text)
-    }
+/// A one-shard host (every buddy resident, hibernation off) serving the
+/// harness's standard user, alice.
+async fn alice_host(
+    loopback: LoopbackChannels,
+    log_dir: Option<std::path::PathBuf>,
+) -> (ShardedHost, tokio::sync::mpsc::Receiver<HostNotice>) {
+    let config = ShardedHostConfig {
+        shards: 1,
+        hibernate_after: SimDuration::ZERO,
+        log_dir,
+        ..ShardedHostConfig::default()
+    };
+    let (host, notices) = ShardedHost::new(
+        SharedChannels::new(loopback),
+        config,
+        Arc::new(|_: &UserId| standard_config()),
+        Telemetry::disabled(),
+    )
+    .expect("shard log opens");
+    host.register(alice()).await;
+    (host, notices)
 }
 
-async fn wait_finished(
-    notices: &mut tokio::sync::mpsc::Receiver<RuntimeNotice>,
-) -> DeliveryStatus {
+fn alice() -> UserId {
+    UserId::new("alice")
+}
+
+async fn wait_finished(notices: &mut tokio::sync::mpsc::Receiver<HostNotice>) -> DeliveryStatus {
     loop {
-        if let RuntimeNotice::DeliveryFinished { status, .. } = notices.recv().await.expect("service alive") { return status }
+        let HostNotice { notice, .. } = notices.recv().await.expect("host alive");
+        if let RuntimeNotice::DeliveryFinished { status, .. } = notice {
+            return status;
+        }
     }
 }
 
 #[tokio::test(start_paused = true)]
 async fn live_alert_is_acked_in_under_a_second() {
-    let channels = Scripted(LoopbackChannels::always_ack(Duration::from_millis(350)));
-    let (service, handle, mut notices) = MabService::new(standard_config(), channels);
-    tokio::spawn(service.run());
+    let (host, mut notices) =
+        alice_host(LoopbackChannels::always_ack(Duration::from_millis(350)), None).await;
 
-    handle
-        .submit_im_alert(IncomingAlert::from_im("aladdin-gw", "Sensor live ON", SimTime::ZERO))
+    host.submit_im(&alice(), IncomingAlert::from_im("aladdin-gw", "Sensor live ON", SimTime::ZERO))
         .await;
     let t0 = tokio::time::Instant::now();
     let status = wait_finished(&mut notices).await;
     assert!(matches!(status, DeliveryStatus::Acked { block: 0, .. }));
     assert!(t0.elapsed() < Duration::from_secs(1));
+    host.shutdown().await;
 }
 
 #[tokio::test(start_paused = true)]
@@ -48,78 +73,82 @@ async fn live_fallback_cascade_im_to_sms_to_email() {
         simba_bench::harness::USER_IM,
         SendOutcome::Failed(SendFailure::RecipientUnreachable),
     );
-    let (service, handle, mut notices) = MabService::new(standard_config(), Scripted(loopback));
-    tokio::spawn(service.run());
+    let (host, mut notices) = alice_host(loopback, None).await;
 
     let t0 = tokio::time::Instant::now();
-    handle
-        .submit_im_alert(IncomingAlert::from_im("aladdin-gw", "Sensor cascade ON", SimTime::ZERO))
-        .await;
+    host.submit_im(
+        &alice(),
+        IncomingAlert::from_im("aladdin-gw", "Sensor cascade ON", SimTime::ZERO),
+    )
+    .await;
     let status = wait_finished(&mut notices).await;
     // IM fails synchronously → SMS accepted but unacknowledgeable → its
     // 120 s window expires → email (fire-and-forget) completes block 2.
     assert!(matches!(status, DeliveryStatus::Unconfirmed { block: 2, .. }), "status {status:?}");
     assert!(t0.elapsed() >= Duration::from_secs(120), "elapsed {:?}", t0.elapsed());
+    host.shutdown().await;
 }
 
 #[tokio::test(start_paused = true)]
 async fn durable_service_replays_unprocessed_alerts_across_restart() {
-    use simba::core::wal::{FileWal, WriteAheadLog};
-    use simba::core::IncomingAlert as IA;
-    use simba::sim::SimTime as T;
+    use simba::core::shardlog::{ShardLog, ShardLogConfig};
 
     let dir = std::env::temp_dir().join(format!("simba-live-wal-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("durable.wal");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
+    let shard_dir = dir.join("shard-000");
 
     // Incarnation 1 dies after logging an alert but before routing it —
-    // simulated by writing the record directly, as a crashed service
-    // would have left it.
+    // simulated by writing the committed record directly, as a crashed
+    // host would have left it.
     {
-        let mut wal = FileWal::open(&path).expect("fresh log");
-        wal.append(
-            &IA::from_im("aladdin-gw", "Sensor durable ON", T::from_secs(1)),
-            T::from_secs(1),
+        let mut log = ShardLog::open(ShardLogConfig::on_disk(&shard_dir)).expect("fresh log");
+        log.append(
+            &alice(),
+            &IncomingAlert::from_im("aladdin-gw", "Sensor durable ON", SimTime::from_secs(1)),
+            SimTime::from_secs(1),
         )
         .expect("append");
+        log.commit().expect("commit");
         // No mark_processed: the crash hit before routing completed.
     }
 
-    // Incarnation 2 starts over the same file and must replay it.
-    let wal = FileWal::open_tolerant(&path).expect("reopen");
-    assert_eq!(wal.unprocessed().len(), 1);
-    let channels = Scripted(LoopbackChannels::always_ack(Duration::from_millis(250)));
-    let (service, _handle, mut notices) =
-        MabService::with_wal(standard_config(), channels, wal);
-    tokio::spawn(service.run());
+    // Incarnation 2 starts over the same log and must replay it.
+    let log = ShardLog::open(ShardLogConfig::on_disk(&shard_dir)).expect("reopen");
+    assert_eq!(log.unprocessed_len(), 1);
+    drop(log);
+    let (host, mut notices) =
+        alice_host(LoopbackChannels::always_ack(Duration::from_millis(250)), Some(dir.clone()))
+            .await;
 
     // The replayed alert is routed and acked with no new submissions.
     let status = wait_finished(&mut notices).await;
     assert!(matches!(status, DeliveryStatus::Acked { .. }), "status {status:?}");
-    std::fs::remove_file(&path).expect("cleanup");
+    host.shutdown().await;
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[tokio::test(start_paused = true)]
 async fn live_email_alert_routes_without_ack() {
-    let channels = Scripted(LoopbackChannels::always_ack(Duration::from_millis(300)));
-    let (service, handle, mut notices) = MabService::new(standard_config(), channels);
-    tokio::spawn(service.run());
+    let (host, mut notices) =
+        alice_host(LoopbackChannels::always_ack(Duration::from_millis(300)), None).await;
 
-    handle
-        .submit_email_alert(IncomingAlert::from_email(
+    host.submit_email(
+        &alice(),
+        IncomingAlert::from_email(
             "assistant@desktop",
             "SIMBA Desktop Assistant",
             "Email: server down!",
             "forwarded by the assistant",
             SimTime::ZERO,
-        ))
-        .await;
+        ),
+    )
+    .await;
     // "Email:" in the subject maps to Work → Critical mode (IM first) → acked.
     let status = wait_finished(&mut notices).await;
     assert!(matches!(status, DeliveryStatus::Acked { .. }));
     // Email arrivals produce no AckSent notices (acks are an IM concept)
-    // — already consumed by wait_finished if any existed; verify stats
-    // through a watchdog probe instead: service is healthy.
-    assert!(handle.are_you_working().await);
+    // — already consumed by wait_finished if any existed; verify health
+    // through a watchdog probe instead: the host is up.
+    assert!(host.probe().are_you_working().await);
+    host.shutdown().await;
 }
